@@ -56,7 +56,8 @@ Self-declared gates (evaluated by ``repro-cycles bench-report``):
 * ``ingest.binary_pairs_per_second >= 100000`` — a floor on absolute
   binary-path ingest, an order of magnitude above the fleet-discipline
   JSON throughput this bench recorded before binary framing existed
-  (~42k pairs/s), with headroom for slow CI machines (measured ~800k).
+  (~42k pairs/s), with headroom for slow CI machines (the committed
+  artifact records ~613k).
 """
 
 from __future__ import annotations

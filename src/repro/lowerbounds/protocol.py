@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.graph.graph import Graph, Vertex
 from repro.streaming.algorithm import StreamingAlgorithm
+from repro.streaming.runner import PassDriver
 from repro.streaming.stream import AdjacencyListStream
 
 
@@ -138,15 +139,12 @@ def run_protocol(
     ]
     messages: List[Message] = []
     n_players = len(segments)
+    driver = PassDriver(algorithm)
     for round_index in range(algorithm.n_passes):
-        algorithm.begin_pass(round_index)
+        driver.begin_pass(round_index)
         for seg_idx, (player, vertices) in enumerate(segments):
             for vertex in vertices:
-                neighbors = lists_by_vertex[vertex]
-                algorithm.begin_list(vertex)
-                for nbr in neighbors:
-                    algorithm.process(vertex, nbr)
-                algorithm.end_list(vertex, neighbors)
+                driver.feed_list(vertex, lists_by_vertex[vertex])
             is_final_boundary = (
                 round_index == algorithm.n_passes - 1 and seg_idx == n_players - 1
             )
@@ -165,7 +163,7 @@ def run_protocol(
                         state_bytes=_try_pickle_size(algorithm),
                     )
                 )
-        algorithm.end_pass(round_index)
+        driver.end_pass()
     estimate = algorithm.result()
     output = int(estimate > decision_threshold)
     return ProtocolResult(

@@ -31,7 +31,7 @@ import asyncio
 import json
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.events import (
     ServeCheckpointed,
@@ -304,52 +304,31 @@ class SessionManager:
     async def feed(
         self, session_id: str, pairs: Sequence, *, nbytes: int = 0
     ) -> Dict[str, Any]:
-        """Ingest a chunk under the feed gate (global backpressure)."""
-        self._track_feed_gate(+1)
-        try:
-            async with self._feed_gate:
-                async with self._lock(session_id):
-                    session = self._get(session_id)
-                    start = _now()
-                    session.account_bytes(nbytes)
-                    out = session.feed(pairs)
-                    if self.telemetry.enabled:
-                        elapsed = _now() - start
-                        self.telemetry.observe_seconds(
-                            "serve_feed_seconds",
-                            elapsed,
-                            help="server-side wall time ingesting one chunk",
-                        )
-                        self.telemetry.observe_histogram(
-                            "serve_op_latency_seconds",
-                            elapsed,
-                            help=_OP_LATENCY_HELP,
-                            op="feed",
-                            wire="json",
-                        )
-                        self.telemetry.count(
-                            "serve_session_pairs_total",
-                            len(pairs),
-                            help="adjacency pairs ingested across all serve sessions",
-                        )
-                        self.telemetry.count(
-                            "serve_session_chunks_total",
-                            help="feed chunks ingested across all serve sessions",
-                        )
-                        if nbytes:
-                            self.telemetry.count(
-                                "serve_bytes_total",
-                                nbytes,
-                                help="approximate request payload bytes accepted",
-                            )
-                    return out
-        finally:
-            self._track_feed_gate(-1)
+        """Ingest a JSON chunk under the feed gate (global backpressure)."""
+        return await self._feed(
+            session_id, len(pairs), lambda session: session.feed(pairs), nbytes, "json"
+        )
 
     async def feed_arrays(
         self, session_id: str, srcs: Any, dsts: Any, *, nbytes: int = 0
     ) -> Dict[str, Any]:
         """Ingest a binary columnar chunk under the same feed gate."""
+        return await self._feed(
+            session_id,
+            len(srcs),
+            lambda session: session.feed_arrays(srcs, dsts),
+            nbytes,
+            "binary",
+        )
+
+    async def _feed(
+        self,
+        session_id: str,
+        n_pairs: int,
+        ingest: Callable[[ServeSession], Dict[str, Any]],
+        nbytes: int,
+        wire: str,
+    ) -> Dict[str, Any]:
         self._track_feed_gate(+1)
         try:
             async with self._feed_gate:
@@ -357,7 +336,7 @@ class SessionManager:
                     session = self._get(session_id)
                     start = _now()
                     session.account_bytes(nbytes)
-                    out = session.feed_arrays(srcs, dsts)
+                    out = ingest(session)
                     if self.telemetry.enabled:
                         elapsed = _now() - start
                         self.telemetry.observe_seconds(
@@ -370,11 +349,11 @@ class SessionManager:
                             elapsed,
                             help=_OP_LATENCY_HELP,
                             op="feed",
-                            wire="binary",
+                            wire=wire,
                         )
                         self.telemetry.count(
                             "serve_session_pairs_total",
-                            len(srcs),
+                            n_pairs,
                             help="adjacency pairs ingested across all serve sessions",
                         )
                         self.telemetry.count(

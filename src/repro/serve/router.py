@@ -17,13 +17,15 @@ layer:
 * **Hot ops relay raw.**  Per client connection the router lazily opens
   one upstream socket per needed worker (binary negotiated on open, the
   single hello ack consumed before the pump task starts) and forwards
-  feed/poll/finish_pass/snapshot frames verbatim — correlation ids pass
+  feed/poll/finish_pass/snapshot/close frames verbatim — correlation ids pass
   through untouched, responses pump back under the client write lock, and
   binary pair-batch frames are routed by parsing only the 16-byte header
   plus session id.  Per-connection pipelining happens *in the workers*;
   the router adds no head-of-line coupling between sessions on different
-  workers.
-* **Control ops** (open/close/merge/stats/shutdown) go through one shared
+  workers.  ``close`` relays on the same link as the session's feeds, so
+  it can never overtake them; the router frees the tenant's session slot
+  as it relays.
+* **Control ops** (open/merge/stats/shutdown) go through one shared
   :class:`~repro.serve.client.ServeClient` per worker so the router can
   account tenant quotas and orchestrate cross-worker merges.  A merge
   whose sources live on several workers snapshots the remote sources,
@@ -141,7 +143,7 @@ def _now() -> float:
 
 #: Ops the router answers (or orchestrates) itself; everything else with a
 #: ``session`` field relays raw to the owning worker.
-_ROUTER_OPS = ("hello", "auth", "algorithms", "open", "close", "merge", "shutdown")
+_ROUTER_OPS = ("hello", "auth", "algorithms", "open", "merge", "shutdown")
 
 #: Prefix for the transient ids a cross-worker merge parks snapshots under.
 _MERGE_TEMP_PREFIX = "__router-merge__"
@@ -723,14 +725,6 @@ class ServeRouter:
                     # ids → the stitcher merges the files into one tree).
                     self._session_trace[session_id] = (trace_ctx, _now())
                 return self._rewrite(req_id, out)
-            if op == "close":
-                session_id = get_str(message, "session")
-                out = await self._forward(
-                    self.worker_index(session_id), message
-                )
-                self._release_session(session_id)
-                self._record_relay_span(session_id)
-                return self._rewrite(req_id, out)
             if op == "merge":
                 return await self._merge(conn, tenant, message)
             if op == "stats":
@@ -1112,7 +1106,7 @@ class ServeRouter:
                     if op == "shutdown" and response.get("ok"):
                         break
                     continue
-                # Hot path: feed/poll/finish_pass/snapshot/stats — relay
+                # Hot path: feed/poll/finish_pass/snapshot/stats/close — relay
                 # the original line verbatim to the owning worker.
                 try:
                     session_id = get_str(message, "session")
@@ -1128,6 +1122,9 @@ class ServeRouter:
                     continue
                 if op == "poll":
                     self._last_poll_s = _now()
+                elif op == "close":
+                    self._release_session(session_id)
+                    self._record_relay_span(session_id)
                 await self._relay(conn, session_id, line, op=str(op))
         except (ConnectionResetError, BrokenPipeError):
             pass

@@ -1,25 +1,29 @@
 """One tenant's stream: a registry algorithm fed incrementally.
 
-A :class:`ServeSession` owns a live :class:`StreamingAlgorithm` and
-replays the exact hook discipline of the batch runner
-(:func:`repro.streaming.runner.run_algorithm`) against pairs that arrive
-in arbitrary chunks:
+A :class:`ServeSession` is chunk buffering and validation in front of a
+:class:`~repro.streaming.runner.PassDriver`, the same driver the batch
+runner (:func:`repro.streaming.runner.run_algorithm`) pushes lists into:
 
-* pairs are buffered into the current adjacency list until a pair with a
-  new source closes it — only then do ``begin_list`` / dispatch /
-  ``end_list`` fire, with the same fast-path decision
-  (:func:`~repro.streaming.runner._dispatch_flags`) the runner makes;
-* ``begin_pass`` is lazy (first pair of the pass), ``end_pass`` runs in
-  :meth:`finish_pass` after the final open list is flushed.
+* both wires take one ingest path.  A JSON chunk becomes two columns
+  (``uint64`` when every label is an int that fits, otherwise
+  ``dtype=object``) and goes through :meth:`ServeSession.feed_arrays`,
+  where binary frames arrive directly;
+* a chunk is split at source changes; every list it closes is pushed into
+  the driver, and the last one stays buffered until a pair with a new
+  source (or :meth:`~ServeSession.finish_pass`) closes it;
+* ``begin_pass`` is lazy (first chunk of the pass), ``end_pass`` runs in
+  :meth:`~ServeSession.finish_pass` after the final open list is pushed.
 
-Because the hook sequence is identical, a session's estimates are
-**bit-identical** to an offline ``run_algorithm`` over the same pairs —
-that property is what the serve benchmarks gate on.
+Because the driver is shared, a session's estimates are **bit-identical**
+to an offline ``run_algorithm`` over the same pairs — that property is
+what the serve benchmarks gate on.
 
 The first pass is validated incrementally with the same
 :class:`~repro.streaming.stream.PairSequenceValidator` the CLI's
 ``validate`` command uses; later passes are checked for length against
-the first (streams must replay identically).
+the first (streams must replay identically).  A chunk that fails
+validation ingests exactly the pairs before the offending one, on either
+wire.
 
 Sessions are deliberately synchronous and transport-free — the asyncio
 layer (:mod:`repro.serve.manager`) wraps them in per-session locks.
@@ -30,6 +34,8 @@ stable code, never transport exceptions.
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.obs.diagnostics import THEOREM_FOURCYCLE, THEOREM_TRIANGLE, diagnose
 from repro.serve.protocol import (
@@ -55,10 +61,38 @@ from repro.streaming.algorithm import (
     supports_snapshot,
 )
 from repro.streaming.registry import AlgorithmSpec, get as get_spec
-from repro.streaming.runner import _dispatch_flags
+from repro.streaming.runner import PassDriver
 from repro.streaming.stream import PairSequenceValidator, StreamFormatError
+from repro.util.vectorized import as_vertex_array
 
 __all__ = ["ServeSession"]
+
+_NO_LABELS = np.empty(0, dtype=np.uint64)
+
+
+def _pair_columns(pairs: Sequence[Tuple[Any, Any]]) -> Tuple[np.ndarray, np.ndarray]:
+    """A JSON chunk as source and neighbour columns.
+
+    ``uint64`` columns (what a binary frame carries) when every label is
+    an ``int`` that fits, otherwise ``dtype=object`` columns holding the
+    labels themselves — strings, negative or huge ints.  Both ingest
+    identically; only a ``uint64`` column is ever handed to an algorithm.
+    """
+    if not pairs:
+        return _NO_LABELS, _NO_LABELS
+    srcs, dsts = zip(*pairs)
+    if set(map(type, srcs)).union(map(type, dsts)) == {int}:
+        src_col, dst_col = as_vertex_array(srcs), as_vertex_array(dsts)
+        if src_col is not None and dst_col is not None:
+            return src_col, dst_col
+    n = len(srcs)
+    return np.fromiter(srcs, object, n), np.fromiter(dsts, object, n)
+
+
+def _fresh_column(vertex: Any, neighbors: Any) -> Any:
+    """The conversion the algorithms perform themselves, for lists that no
+    single ``uint64`` chunk slice covers."""
+    return as_vertex_array(neighbors)
 
 
 def _nested_state(state: SketchState) -> Dict[str, Any]:
@@ -116,33 +150,35 @@ class ServeSession:
         self.space_budget_words = space_budget_words
         self.origin_state = origin_state
 
-        self._fast, self._skip_pairs = _dispatch_flags(algorithm, None)
-        # Columnar acceleration: binary feeds arrive as uint64 columns, so
-        # a segment that maps 1:1 onto a frame slice hands its column to
-        # the algorithm through the bind_columns provider channel instead
-        # of re-converting the Python list.  Pure acceleration — the
-        # provider's fallback is exactly the conversion the algorithms
-        # perform themselves — so estimates stay bit-identical.
-        self._column_hint: Optional[Tuple[Any, Any, Any]] = None
-        self._open_list_column: Optional[Any] = None
-        algorithm.bind_columns(self._provide_column)
+        # A list that maps 1:1 onto one chunk slice hands that slice to the
+        # driver as its column instead of being converted again.
+        self.driver = PassDriver(algorithm, column_provider=_fresh_column)
         self.pass_index = 0
-        self.pass_started = False
         self.passes_completed = 0
         self.done = False
         self.pairs_total = 0
         self.pairs_this_pass = 0
         self.pairs_per_pass: Optional[int] = None
-        self.lists_this_pass = 0
         self.chunks = 0
         self.polls = 0
         self.bytes_used = 0
         self._open_list: Optional[Tuple[Any, List[Any]]] = None
+        self._open_column: Optional[np.ndarray] = None
         self._validator: Optional[PairSequenceValidator] = None
         if validate_mode != VALIDATE_OFF:
             self._validator = PairSequenceValidator(
                 check_reverse=(validate_mode == VALIDATE_STRICT)
             )
+
+    @property
+    def pass_started(self) -> bool:
+        """Whether ``begin_pass`` has run for the current pass."""
+        return self.driver.in_pass
+
+    @property
+    def lists_this_pass(self) -> int:
+        """Lists of the current pass already pushed through the hooks."""
+        return self.driver.lists_done if self.driver.in_pass else 0
 
     # -- construction --------------------------------------------------------
 
@@ -203,145 +239,66 @@ class ServeSession:
             )
         self.bytes_used += nbytes
 
-    def _provide_column(self, vertex: Any, neighbors: Any) -> Any:
-        """The bound column provider: the primed frame slice, or a fresh
-        conversion (exactly what the algorithms do unaided)."""
-        hint = self._column_hint
-        if hint is not None and hint[0] == vertex and hint[1] is neighbors:
-            return hint[2]
-        from repro.util.vectorized import as_vertex_array
+    def _begin_pass_lazily(self) -> None:
+        if not self.driver.in_pass:
+            self.driver.begin_pass(self.pass_index)
 
-        return as_vertex_array(neighbors)
+    def _close_open_list(self) -> None:
+        """Push the buffered adjacency list through the driver."""
+        if self._open_list is not None:
+            (vertex, neighbors), column = self._open_list, self._open_column
+            self._open_list = self._open_column = None
+            self.driver.feed_list(vertex, neighbors, column)
 
-    def _flush_open_list(self) -> None:
-        """Run the buffered adjacency list through the runner's hook order."""
-        if self._open_list is None:
+    def _buffer(self, srcs: np.ndarray, dsts: np.ndarray) -> None:
+        """Split a chunk at source changes: push every list it closes, keep
+        the last one open."""
+        n = len(srcs)
+        if not n:
             return
-        vertex, neighbors = self._open_list
-        column = self._open_list_column
-        self._open_list = None
-        self._open_list_column = None
-        if column is not None and len(column) == len(neighbors):
-            self._column_hint = (vertex, neighbors, column)
-        algorithm = self.algorithm
-        try:
-            algorithm.begin_list(vertex)
-            if self._fast:
-                if not self._skip_pairs:
-                    algorithm.process_list(vertex, neighbors)
+        starts = [0, *(np.flatnonzero(srcs[1:] != srcs[:-1]) + 1).tolist(), n]
+        dst_list = dsts.tolist()
+        for head, lo, hi in zip(srcs[starts[:-1]].tolist(), starts, starts[1:]):
+            if self._open_list is not None and self._open_list[0] == head:
+                self._open_list[1].extend(dst_list[lo:hi])
+                self._open_column = None  # spans chunks: no single slice
             else:
-                process = algorithm.process
-                for nbr in neighbors:
-                    process(vertex, nbr)
-            algorithm.end_list(vertex, neighbors)
-        finally:
-            self._column_hint = None
-        self.lists_this_pass += 1
+                self._close_open_list()
+                self._open_list = (head, dst_list[lo:hi])
+                self._open_column = dsts[lo:hi]
+        self.pairs_this_pass += n
+        self.pairs_total += n
 
     def feed(self, pairs: Sequence[Tuple[Any, Any]]) -> Dict[str, Any]:
-        """Ingest one chunk of ``(source, neighbour)`` pairs.
+        """Ingest one JSON chunk of ``(source, neighbour)`` pairs.
+
+        The chunk becomes two columns and takes the binary wire's path,
+        :meth:`feed_arrays`.
+        """
+        return self.feed_arrays(*_pair_columns(pairs))
+
+    def feed_arrays(self, srcs: Any, dsts: Any) -> Dict[str, Any]:
+        """Ingest one chunk given as two equal-length columns.
 
         Chunk boundaries are invisible to the algorithm: a list split
         across chunks is buffered until its source changes.  Raises
-        ``STREAM_FORMAT`` on a model violation (first pass),
+        ``STREAM_FORMAT`` on a model violation (first pass) after
+        ingesting exactly the pairs before the offending one, and
         ``SPACE_BUDGET_EXCEEDED`` when the algorithm's live state outgrows
         the session's cap.
         """
         self._require_live()
-        if not self.pass_started:
-            self.algorithm.begin_pass(self.pass_index)
-            self.pass_started = True
+        self._begin_pass_lazily()
         validator = self._validator if self.pass_index == 0 else None
-        # Scalar pairs may extend or replace the open list, so any primed
-        # frame column for it no longer covers the whole list.
-        self._open_list_column = None
-        open_list = self._open_list
-        for src, dst in pairs:
-            if validator is not None:
-                try:
-                    validator.feed_pair(src, dst)
-                except StreamFormatError as exc:
-                    self._open_list = open_list
-                    raise ServeError(STREAM_FORMAT, str(exc)) from exc
-            if open_list is not None and open_list[0] == src:
-                open_list[1].append(dst)
-            else:
-                self._open_list = open_list
-                self._flush_open_list()
-                open_list = (src, [dst])
-            self.pairs_this_pass += 1
-            self.pairs_total += 1
-        self._open_list = open_list
-        self.chunks += 1
-        if (
-            self.pairs_per_pass is not None
-            and self.pairs_this_pass > self.pairs_per_pass
-        ):
-            raise ServeError(
-                STREAM_FORMAT,
-                f"pass {self.pass_index} is longer than pass 0 "
-                f"({self.pairs_this_pass} > {self.pairs_per_pass} pairs): "
-                "multi-pass streams must replay identically",
-            )
-        if self.space_budget_words is not None:
-            words = self.algorithm.space_words()
-            if words > self.space_budget_words:
-                raise ServeError(
-                    SPACE_BUDGET_EXCEEDED,
-                    f"session {self.session_id!r} live state {words} words "
-                    f"exceeds cap {self.space_budget_words}",
-                )
-        return {
-            "pairs": len(pairs),
-            "pairs_total": self.pairs_total,
-            "pass": self.pass_index,
-        }
-
-    def feed_arrays(self, srcs: Any, dsts: Any) -> Dict[str, Any]:
-        """Ingest one binary chunk: two equal-length ``uint64`` columns.
-
-        Semantically identical to :meth:`feed` over ``zip(srcs, dsts)`` —
-        same hooks, same validation, same errors — but the list-boundary
-        split, validation and bookkeeping are vectorized, and complete
-        segments hand their frame slices to the algorithm as ready-made
-        columns.  This is the path that lifts ingest from the per-pair
-        JSON rate to the columnar kernels' rate.
-        """
-        self._require_live()
-        n = int(len(srcs))
-        if not self.pass_started:
-            self.algorithm.begin_pass(self.pass_index)
-            self.pass_started = True
-        if self.pass_index == 0 and self._validator is not None:
+        if validator is not None:
+            seen = validator.pairs_seen
             try:
-                self._validator.feed_array(srcs, dsts)
+                validator.feed_array(srcs, dsts)
             except StreamFormatError as exc:
+                accepted = validator.pairs_seen - seen
+                self._buffer(srcs[:accepted], dsts[:accepted])
                 raise ServeError(STREAM_FORMAT, str(exc)) from exc
-        if n:
-            import numpy as np
-
-            boundaries = (np.flatnonzero(srcs[1:] != srcs[:-1]) + 1).tolist()
-            starts = [0, *boundaries, n]
-            src_list = srcs.tolist()
-            dst_list = dsts.tolist()
-            open_list = self._open_list
-            open_column = self._open_list_column
-            for i in range(len(starts) - 1):
-                head = src_list[starts[i]]
-                seg = dst_list[starts[i] : starts[i + 1]]
-                if i == 0 and open_list is not None and open_list[0] == head:
-                    open_list[1].extend(seg)
-                    open_column = None  # spans frames; no single slice
-                    continue
-                self._open_list = open_list
-                self._open_list_column = open_column
-                self._flush_open_list()
-                open_list = (head, seg)
-                open_column = dsts[starts[i] : starts[i + 1]]
-            self._open_list = open_list
-            self._open_list_column = open_column
-            self.pairs_this_pass += n
-            self.pairs_total += n
+        self._buffer(srcs, dsts)
         self.chunks += 1
         if (
             self.pairs_per_pass is not None
@@ -362,7 +319,7 @@ class ServeSession:
                     f"exceeds cap {self.space_budget_words}",
                 )
         return {
-            "pairs": n,
+            "pairs": len(srcs),
             "pairs_total": self.pairs_total,
             "pass": self.pass_index,
         }
@@ -375,12 +332,10 @@ class ServeSession:
         pass marks the session done and freezes the final estimate.
         """
         self._require_live()
-        if not self.pass_started:
-            # An empty pass is legal (empty stream); mirror the runner,
-            # which always brackets a pass even over zero lists.
-            self.algorithm.begin_pass(self.pass_index)
-            self.pass_started = True
-        self._flush_open_list()
+        # An empty pass is legal (empty stream); mirror the runner, which
+        # always brackets a pass even over zero lists.
+        self._begin_pass_lazily()
+        self._close_open_list()
         if self.pass_index == 0 and self._validator is not None:
             try:
                 self._validator.finish()
@@ -393,15 +348,13 @@ class ServeSession:
                 f"pass 0 fed {self.pairs_per_pass}: multi-pass streams must "
                 "replay identically",
             )
-        self.algorithm.end_pass(self.pass_index)
+        self.driver.end_pass()
         if self.pairs_per_pass is None:
             self.pairs_per_pass = self.pairs_this_pass
         self.passes_completed += 1
         self.pass_index += 1
-        self.pass_started = False
         pairs_this_pass = self.pairs_this_pass
         self.pairs_this_pass = 0
-        self.lists_this_pass = 0
         if self.pass_index >= self.algorithm.n_passes:
             self.done = True
         out: Dict[str, Any] = {
@@ -556,14 +509,17 @@ class ServeSession:
                 origin_state=origin,
             )
             session.pass_index = int(payload["pass_index"])
-            session.pass_started = bool(payload["pass_started"])
+            if payload["pass_started"]:
+                session.driver.begin_pass(
+                    session.pass_index,
+                    resumed_lists=int(payload["lists_this_pass"]),
+                )
             session.passes_completed = int(payload["passes_completed"])
             session.done = bool(payload["done"])
             session.pairs_total = int(payload["pairs_total"])
             session.pairs_this_pass = int(payload["pairs_this_pass"])
             per_pass = payload.get("pairs_per_pass")
             session.pairs_per_pass = int(per_pass) if per_pass is not None else None
-            session.lists_this_pass = int(payload["lists_this_pass"])
             session.chunks = int(payload["chunks"])
             open_list = payload.get("open_list")
             if open_list is not None:

@@ -46,7 +46,7 @@ from repro.sketch.merge import merge_states
 from repro.sketch.shard import StreamShard, partition_stream
 from repro.sketch.state import SketchState, SketchStateError
 from repro.streaming.algorithm import StreamingAlgorithm, supports_snapshot
-from repro.streaming.runner import run_single_pass
+from repro.streaming.runner import PassDriver
 from repro.streaming.space import SpaceMeter
 from repro.util.rng import derive_seed
 from repro.util.vectorized import ColumnMemo
@@ -159,21 +159,24 @@ def _execute_shard_pass(
     """
     algorithm = restore_algorithm(state)
     tracer = Tracer.from_context(trace) if trace is not None else NULL_TRACER
+    meter = SpaceMeter()
+    driver = PassDriver(
+        algorithm,
+        meter,
+        space_poll_interval=space_poll_interval,
+        column_provider=column_provider,
+    )
     with tracer.span(f"shard:{shard_index}", category="shard") as span:
-        meter = run_single_pass(
-            algorithm,
-            lists,
-            pass_index,
-            space_poll_interval=space_poll_interval,
-            column_provider=column_provider,
-        )
-        pairs = sum(len(neighbors) for _, neighbors in lists)
-        span.set(pairs=pairs, peak_space_words=meter.peak_words)
+        driver.begin_pass(pass_index)
+        for vertex, neighbors in lists:
+            driver.feed_list(vertex, neighbors)
+        driver.end_pass()
+        span.set(pairs=driver.pairs_done, peak_space_words=meter.peak_words)
     return ShardPassResult(
         shard_index=shard_index,
         state=algorithm.snapshot(),
         peak_space_words=meter.peak_words,
-        pairs=pairs,
+        pairs=driver.pairs_done,
         spans=tuple(tracer.encoded_spans()),
     )
 

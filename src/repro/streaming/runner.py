@@ -1,8 +1,16 @@
 """Multi-pass execution of streaming algorithms over adjacency-list streams.
 
-The runner has two dispatch strategies:
+:class:`PassDriver` is the one place that calls an algorithm's per-list
+hooks.  Every execution mode pushes adjacency lists into a driver: the
+batch :func:`run_algorithm` loop below, one shard pass of the sharded
+driver (:mod:`repro.sketch.driver`), the communication-protocol
+simulation (:mod:`repro.lowerbounds.protocol`) and a serve session
+(:mod:`repro.serve.session`), which only buffers and validates chunks in
+front of it.
 
-* the **per-pair path** — the historical loop calling ``process`` for every
+The driver has two dispatch strategies:
+
+* the **per-pair path** — calling ``process`` for every
   ``(source, neighbour)`` pair, then ``end_list``;
 * the **batched fast path** — one ``process_list`` call per adjacency list,
   used when the algorithm overrides :meth:`StreamingAlgorithm.process_list`
@@ -27,7 +35,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from itertools import islice
+from typing import Any, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.obs.events import (
     EstimateSample,
@@ -78,97 +89,149 @@ def supports_list_dispatch(algorithm: StreamingAlgorithm) -> bool:
     return cls.process is StreamingAlgorithm.process
 
 
-def _dispatch_flags(
-    algorithm: StreamingAlgorithm, use_fast_path: Optional[bool]
-) -> Tuple[bool, bool]:
-    """Resolve (fast, skip_pairs) dispatch decisions for ``algorithm``."""
-    fast = use_fast_path if use_fast_path is not None else supports_list_dispatch(algorithm)
-    cls = type(algorithm)
-    skip_pairs = fast and (
-        cls.process_list is StreamingAlgorithm.process_list
-        and cls.process is StreamingAlgorithm.process
-    )
-    return fast, skip_pairs
+class PassDriver:
+    """The one owner of the adjacency-list hook discipline.
 
+    Callers push complete lists; the driver calls the algorithm's hooks
+    in the order the model defines::
 
-def run_single_pass(
-    algorithm: StreamingAlgorithm,
-    lists: Iterable,
-    pass_index: int,
-    meter: Optional[SpaceMeter] = None,
-    *,
-    space_poll_interval: int = 1,
-    use_fast_path: Optional[bool] = None,
-    column_provider=None,
-    telemetry: Telemetry = NULL_TELEMETRY,
-    tracer: Tracer = NULL_TRACER,
-) -> SpaceMeter:
-    """Run exactly one pass of ``algorithm`` over an adjacency-list slice.
+        begin_pass -> (begin_list -> process | process_list -> end_list)* -> end_pass
 
-    ``lists`` yields ``(vertex, neighbours)`` entries — a full stream's
-    ``iter_lists()`` or one shard's slice of it.  Calls ``begin_pass`` and
-    ``end_pass`` around the slice; the shard-and-merge driver is the main
-    consumer.  ``column_provider`` (e.g. the source stream's
-    ``columns_for``) is bound to the algorithm when given, letting its
-    vectorized fast path reuse the stream's memoised vertex-id columns.
-    Returns the meter used.
+    It picks per-pair ``process`` calls or one ``process_list`` call per
+    list (``use_fast_path``, auto-detected via
+    :func:`supports_list_dispatch` by default), polls ``space_words()``
+    into ``meter`` every ``space_poll_interval`` lists and at each pass
+    end, and emits pass and poll events to ``telemetry``.  Without a
+    meter it polls nothing and records no pass-end telemetry.
 
-    ``telemetry`` receives pass-boundary, throughput, space high-water and
-    occupancy events; the default :data:`NULL_TELEMETRY` keeps the loop's
-    extra cost to one attribute lookup per poll.  ``tracer`` wraps the
-    pass in a ``pass:<i>`` span (default :data:`NULL_TRACER`: a shared
-    no-op context manager).
+    ``column_provider`` (e.g. a stream's ``columns_for``) is bound to the
+    algorithm so its vectorized fast path can skip converting lists; a
+    ``uint64`` column handed to :meth:`feed_list` overrides it for that
+    one list.  Columns only accelerate and never change results; with no
+    provider nothing is bound and columns are ignored.
     """
-    if space_poll_interval < 1:
-        raise ValueError("space_poll_interval must be at least 1")
-    meter = meter if meter is not None else SpaceMeter()
-    fast, skip_pairs = _dispatch_flags(algorithm, use_fast_path)
-    if column_provider is not None:
-        algorithm.bind_columns(column_provider)
-    emit_estimate = telemetry.enabled and supports_current_estimate(algorithm)
-    if telemetry.enabled:
-        telemetry.emit(PassStarted(pass_index=pass_index))
-    pass_start = time.perf_counter()
-    with tracer.span(f"pass:{pass_index}", category="pass") as span:
-        algorithm.begin_pass(pass_index)
-        lists_done = 0
-        pairs_run = 0
-        lists_since_poll = 0
-        for vertex, neighbors in lists:
-            algorithm.begin_list(vertex)
-            if fast:
-                if not skip_pairs:
-                    algorithm.process_list(vertex, neighbors)
-            else:
-                process = algorithm.process
-                for nbr in neighbors:
-                    process(vertex, nbr)
-            algorithm.end_list(vertex, neighbors)
-            pairs_run += len(neighbors)
-            lists_done += 1
-            lists_since_poll += 1
-            if lists_since_poll >= space_poll_interval:
-                words = algorithm.space_words()
-                if telemetry.enabled:
-                    _record_poll(
-                        telemetry, algorithm, meter, pass_index, lists_done,
-                        words, emit_estimate,
-                    )
-                meter.observe(words)
-                lists_since_poll = 0
-        algorithm.end_pass(pass_index)
-        words = algorithm.space_words()
-        span.set(lists=lists_done, pairs=pairs_run)
-        if telemetry.enabled:
+
+    def __init__(
+        self,
+        algorithm: StreamingAlgorithm,
+        meter: Optional[SpaceMeter] = None,
+        *,
+        space_poll_interval: int = 1,
+        use_fast_path: Optional[bool] = None,
+        column_provider=None,
+        telemetry: Telemetry = NULL_TELEMETRY,
+    ):
+        if space_poll_interval < 1:
+            raise ValueError("space_poll_interval must be at least 1")
+        self.algorithm = algorithm
+        self.meter = meter
+        self.space_poll_interval = space_poll_interval
+        self.fast = (
+            use_fast_path if use_fast_path is not None else supports_list_dispatch(algorithm)
+        )
+        cls = type(algorithm)
+        self._skip_pairs = self.fast and (
+            cls.process_list is StreamingAlgorithm.process_list
+            and cls.process is StreamingAlgorithm.process
+        )
+        self.telemetry = telemetry
+        self._emit_estimate = telemetry.enabled and supports_current_estimate(algorithm)
+        self._columns = column_provider
+        self._hint: Optional[Tuple[Any, Any]] = None
+        if column_provider is not None:
+            algorithm.bind_columns(self._provide_column)
+        self.pass_index: Optional[int] = None  # None between passes
+        self.lists_done = 0
+        self.pairs_done = 0
+        self._since_poll = 0
+        self._pass_start = 0.0
+
+    @property
+    def in_pass(self) -> bool:
+        """Whether ``begin_pass`` ran and ``end_pass`` has not yet."""
+        return self.pass_index is not None
+
+    def _provide_column(self, vertex: Any, neighbors: Any) -> Any:
+        hint = self._hint
+        if hint is not None and hint[0] is neighbors:
+            return hint[1]
+        return self._columns(vertex, neighbors)
+
+    def begin_pass(self, pass_index: int, *, resumed_lists: Optional[int] = None) -> None:
+        """Open pass ``pass_index``.
+
+        ``resumed_lists`` continues a pass that a restored snapshot left
+        open after that many lists.  ``begin_pass`` ran before the
+        snapshot, so its effects are inside the restored state and the
+        hook is not called again.
+        """
+        if self.telemetry.enabled:
+            self.telemetry.emit(PassStarted(pass_index=pass_index))
+        self._pass_start = time.perf_counter()
+        if resumed_lists is None:
+            self.algorithm.begin_pass(pass_index)
+        self.pass_index = pass_index
+        self.lists_done = resumed_lists or 0
+        self.pairs_done = 0
+        self._since_poll = 0
+
+    def _dispatch(self, vertex: Any, neighbors: Sequence) -> None:
+        algorithm = self.algorithm
+        algorithm.begin_list(vertex)
+        if self.fast:
+            if not self._skip_pairs:
+                algorithm.process_list(vertex, neighbors)
+        else:
+            process = algorithm.process
+            for nbr in neighbors:
+                process(vertex, nbr)
+        algorithm.end_list(vertex, neighbors)
+
+    def feed_list(self, vertex: Any, neighbors: Sequence, column: Any = None) -> None:
+        """Run one complete adjacency list through the hooks.
+
+        ``column`` holds the list's vertex ids as a numpy array; it
+        reaches the algorithm only with dtype ``uint64`` and the list's
+        length.
+        """
+        if column is not None and column.dtype == np.uint64 and len(column) == len(neighbors):
+            self._hint = (neighbors, column)
+            try:
+                self._dispatch(vertex, neighbors)
+            finally:
+                self._hint = None
+        else:
+            self._dispatch(vertex, neighbors)
+        self.pairs_done += len(neighbors)
+        self.lists_done += 1
+        if self.meter is not None:
+            self._since_poll += 1
+            if self._since_poll >= self.space_poll_interval:
+                self._poll()
+                self._since_poll = 0
+
+    def _poll(self) -> int:
+        words = self.algorithm.space_words()
+        if self.telemetry.enabled:
             _record_poll(
-                telemetry, algorithm, meter, pass_index, lists_done, words, emit_estimate
+                self.telemetry, self.algorithm, self.meter, self.pass_index,
+                self.lists_done, words, self._emit_estimate,
             )
-            _record_pass_end(
-                telemetry, pass_index, lists_done, pairs_run,
-                time.perf_counter() - pass_start, words,
-            )
-        meter.observe(words)
-    return meter
+        self.meter.observe(words)
+        return words
+
+    def end_pass(self) -> None:
+        """Close the open pass: the ``end_pass`` hook, a final poll, telemetry."""
+        pass_index = self.pass_index
+        self.algorithm.end_pass(pass_index)
+        if self.meter is not None:
+            words = self._poll()
+            if self.telemetry.enabled:
+                _record_pass_end(
+                    self.telemetry, pass_index, self.lists_done, self.pairs_done,
+                    time.perf_counter() - self._pass_start, words,
+                )
+        self.pass_index = None
 
 
 def _record_poll(
@@ -289,11 +352,7 @@ def run_algorithm(
     ``pass:<i>`` / ``checkpoint:<...>`` / ``resume`` spans under the
     caller's current position (default :data:`NULL_TRACER`).
     """
-    if space_poll_interval < 1:
-        raise ValueError("space_poll_interval must be at least 1")
     meter = meter if meter is not None else SpaceMeter()
-    fast, skip_pairs = _dispatch_flags(algorithm, use_fast_path)
-    emit_estimate = telemetry.enabled and supports_current_estimate(algorithm)
 
     start_pass, skip_lists = 0, 0
     if resume_from is not None:
@@ -305,12 +364,17 @@ def run_algorithm(
                 meter.load_state_dict(resume_from.meter_state)
     # Columnar stream handoff: the stream memoises each list's vertex-id
     # column, so both passes (and all per-list hooks) share one conversion.
-    # (After the resume restore, which resets any bound provider.  Duck-
-    # typed streams without the memo simply leave algorithms converting
-    # their own lists.)
-    provider = getattr(stream, "columns_for", None)
-    if provider is not None:
-        algorithm.bind_columns(provider)
+    # (Bound after the resume restore, which resets any bound provider.
+    # Duck-typed streams without the memo simply leave algorithms
+    # converting their own lists.)
+    driver = PassDriver(
+        algorithm,
+        meter,
+        space_poll_interval=space_poll_interval,
+        use_fast_path=use_fast_path,
+        column_provider=getattr(stream, "columns_for", None),
+        telemetry=telemetry,
+    )
 
     if telemetry.enabled:
         telemetry.emit(
@@ -324,62 +388,21 @@ def run_algorithm(
     start = time.perf_counter()
     pairs_run = 0
     for pass_index in range(start_pass, algorithm.n_passes):
-        resuming_mid_pass = pass_index == start_pass and skip_lists > 0
-        if telemetry.enabled:
-            telemetry.emit(PassStarted(pass_index=pass_index))
-        pass_start = time.perf_counter()
-        pairs_before = pairs_run
+        skip = skip_lists if pass_index == start_pass else 0
         with tracer.span(f"pass:{pass_index}", category="pass") as span:
-            if not resuming_mid_pass:
-                # A mid-pass checkpoint was taken after begin_pass ran, so its
-                # effects are already inside the restored state.
-                algorithm.begin_pass(pass_index)
-            lists_done = 0
-            lists_since_poll = 0
-            for vertex, neighbors in stream.iter_lists():
-                if resuming_mid_pass and lists_done < skip_lists:
-                    lists_done += 1
-                    continue
-                algorithm.begin_list(vertex)
-                if fast:
-                    if not skip_pairs:
-                        algorithm.process_list(vertex, neighbors)
-                else:
-                    process = algorithm.process
-                    for nbr in neighbors:
-                        process(vertex, nbr)
-                algorithm.end_list(vertex, neighbors)
-                pairs_run += len(neighbors)
-                lists_done += 1
-                lists_since_poll += 1
-                if lists_since_poll >= space_poll_interval:
-                    words = algorithm.space_words()
-                    if telemetry.enabled:
-                        _record_poll(
-                            telemetry, algorithm, meter, pass_index, lists_done,
-                            words, emit_estimate,
-                        )
-                    meter.observe(words)
-                    lists_since_poll = 0
-                if checkpoint is not None and lists_done % checkpoint.every_lists == 0:
+            driver.begin_pass(pass_index, resumed_lists=skip or None)
+            for vertex, neighbors in islice(stream.iter_lists(), skip, None):
+                driver.feed_list(vertex, neighbors)
+                if checkpoint is not None and driver.lists_done % checkpoint.every_lists == 0:
+                    lists_done = driver.lists_done
                     with tracer.span(f"checkpoint:{lists_done}", category="checkpoint"):
                         checkpoint.write(
                             algorithm.snapshot(), pass_index, lists_done,
                             meter.state_dict(),
                         )
-            algorithm.end_pass(pass_index)
-            words = algorithm.space_words()
-            span.set(lists=lists_done, pairs=pairs_run - pairs_before)
-            if telemetry.enabled:
-                _record_poll(
-                    telemetry, algorithm, meter, pass_index, lists_done,
-                    words, emit_estimate,
-                )
-                _record_pass_end(
-                    telemetry, pass_index, lists_done, pairs_run - pairs_before,
-                    time.perf_counter() - pass_start, words,
-                )
-            meter.observe(words)
+            driver.end_pass()
+            span.set(lists=driver.lists_done, pairs=driver.pairs_done)
+        pairs_run += driver.pairs_done
         if checkpoint is not None:
             # Pass-boundary checkpoint: resume starts the next pass cleanly.
             with tracer.span(f"checkpoint:pass:{pass_index + 1}", category="checkpoint"):
@@ -395,7 +418,7 @@ def run_algorithm(
         pairs_per_pass=len(stream),
         wall_time_seconds=elapsed,
         pairs_per_second=pairs_run / elapsed if elapsed > 0 else 0.0,
-        used_fast_path=fast,
+        used_fast_path=driver.fast,
     )
     if telemetry.enabled:
         telemetry.set_gauge(

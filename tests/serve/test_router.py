@@ -40,9 +40,9 @@ def _sid_on_worker(prefix, worker):
     raise AssertionError(f"no id with prefix {prefix!r} lands on {worker}")
 
 
-def _run_with_router(fn, **router_kwargs):
+def _run_with_router(fn, n_workers=N_WORKERS, **router_kwargs):
     """Fork a worker fleet, run ``fn(host, port)`` against the router."""
-    router = ServeRouter(N_WORKERS, port=0, **router_kwargs)
+    router = ServeRouter(n_workers, port=0, **router_kwargs)
     router.spawn_workers()
 
     async def main():
@@ -199,6 +199,29 @@ class TestBinaryThroughRouter:
                 assert per_worker == [1, 1]
 
         _run_with_router(scenario)
+
+
+class TestCloseOrdering:
+    def test_close_never_overtakes_pipelined_feeds(self):
+        """``close`` rides the session's relay link, behind its feeds."""
+        pairs = [(2 * i, 2 * i + 1) for i in range(200)]
+
+        async def scenario(host, port):
+            async with ServeClient(host, port) as client:
+                await client.open("s", "triangle-two-pass", 32, seed=1, validate="off")
+                sent = [
+                    asyncio.ensure_future(client.request("feed", session="s", pairs=[pair]))
+                    for pair in pairs
+                ]
+                sent.append(asyncio.ensure_future(client.request("finish_pass", session="s")))
+                sent.append(asyncio.ensure_future(client.request("close", session="s")))
+                responses = await asyncio.gather(*sent, return_exceptions=True)
+                failures = [r for r in responses if isinstance(r, Exception)]
+                assert failures == []
+                assert responses[-2]["pairs"] == len(pairs)
+                assert responses[-1]["pairs_total"] == len(pairs)
+
+        _run_with_router(scenario, n_workers=1)
 
 
 class TestTenants:

@@ -5,8 +5,10 @@ produces estimates **bit-identical** to the batch runner over the same
 stream — serving is an execution mode, not an approximation.
 """
 
+import numpy as np
 import pytest
 
+from repro.graph.graph import Graph
 from repro.graph.planted import planted_four_cycles, planted_triangles
 from repro.serve.protocol import (
     BAD_REQUEST,
@@ -31,6 +33,24 @@ def triangle_world():
     return stream, list(stream.iter_pairs()), planted.true_count
 
 
+#: Label maps the chunking test runs under.  Ints fit the uint64 columns;
+#: strings and negative ints take the ``dtype=object`` columns.
+LABEL_MAPS = {
+    "int": None,
+    "str": lambda v: f"v{v}",
+    "negative": lambda v: -v - 1,
+}
+
+
+def _relabeled(stream, label_map):
+    """``stream`` with every vertex renamed, in the same list and pair order."""
+    if label_map is None:
+        return stream
+    lists = {label_map(v): [label_map(u) for u in nbrs] for v, nbrs in stream.iter_lists()}
+    graph = Graph(lists, ((v, u) for v, nbrs in lists.items() for u in nbrs))
+    return AdjacencyListStream(graph, list_order=list(lists), neighbor_orders=lists)
+
+
 def _reference(stream, name="triangle-two-pass", budget=64, seed=5):
     return run_algorithm(get_spec(name).make(budget, seed=seed), stream).estimate
 
@@ -45,9 +65,17 @@ def _feed_stream(session, pairs, chunk, passes):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("chunk", [1, 7, 64, 10_000])
-    def test_any_chunking_matches_batch_runner(self, triangle_world, chunk):
-        stream, pairs, _ = triangle_world
+    @pytest.mark.parametrize(
+        "chunk,labels",
+        [
+            pytest.param(chunk, labels, id=str(chunk) if labels == "int" else f"{labels}-{chunk}")
+            for labels in LABEL_MAPS
+            for chunk in (1, 7, 64, 10_000)
+        ],
+    )
+    def test_any_chunking_matches_batch_runner(self, triangle_world, chunk, labels):
+        stream = _relabeled(triangle_world[0], LABEL_MAPS[labels])
+        pairs = list(stream.iter_pairs())
         reference = _reference(stream)
         session = ServeSession.open("s", "triangle-two-pass", 64, seed=5)
         final = _feed_stream(session, pairs, chunk, 2)
@@ -70,6 +98,38 @@ class TestBitIdentity:
         final = _feed_stream(session, pairs, 17, 1)
         assert final["done"]
         assert final["estimate"] == reference
+
+
+class TestWireParity:
+    #: K4 fed as lists 0..3; the first chunk repeats (0, 1) mid-chunk.
+    BAD_CHUNK = [(0, 1), (0, 2), (0, 1)]
+    REST = [(0, 3), (1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3), (3, 0), (3, 1), (3, 2)]
+
+    @staticmethod
+    def _feed(session, wire, pairs):
+        if wire == "json":
+            return session.feed(pairs)
+        srcs, dsts = (np.array(col, dtype=np.uint64) for col in zip(*pairs))
+        return session.feed_arrays(srcs, dsts)
+
+    @pytest.mark.parametrize("wire", ["json", "binary"])
+    def test_failed_chunk_ingests_exactly_its_valid_prefix(self, wire):
+        clean = ServeSession.open("ref", "triangle-two-pass", 64, seed=5)
+        full = self.BAD_CHUNK[:2] + self.REST
+        reference = _feed_stream(clean, full, len(full), 2)["estimate"]
+
+        session = ServeSession.open("s", "triangle-two-pass", 64, seed=5)
+        with pytest.raises(ServeError) as err:
+            self._feed(session, wire, self.BAD_CHUNK)
+        assert err.value.code == STREAM_FORMAT
+        state = session.snapshot_state().payload
+        assert state["pairs_total"] == 2
+        assert state["open_list"] == (0, (1, 2))
+        assert state["validator"]["pairs"] == 2
+        self._feed(session, wire, self.REST)
+        assert session.finish_pass()["pairs"] == len(full)
+        self._feed(session, wire, full)
+        assert session.finish_pass()["estimate"] == reference
 
 
 class TestValidation:

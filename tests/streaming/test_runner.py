@@ -1,12 +1,13 @@
 """Tests for the multi-pass runner, the algorithm interface and SpaceMeter."""
 
+import numpy as np
 import pytest
 
 from repro.core.fourcycle_two_pass import TwoPassFourCycleCounter
 from repro.core.triangle_two_pass import TwoPassTriangleCounter
 from repro.graph.generators import gnm_random_graph
 from repro.streaming.algorithm import FixedValueAlgorithm, StreamingAlgorithm
-from repro.streaming.runner import run_algorithm, supports_list_dispatch
+from repro.streaming.runner import PassDriver, run_algorithm, supports_list_dispatch
 from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import AdjacencyListStream
 
@@ -158,6 +159,51 @@ class TestFastPath:
         result = run_algorithm(CallRecorder(passes=1), stream)
         assert result.wall_time_seconds > 0
         assert result.pairs_per_second > 0
+
+
+class ColumnProbe(ListLevelRecorder):
+    """Records what its bound column provider hands it for each list."""
+
+    def bind_columns(self, provider):
+        self.provider = provider
+
+    def process_list(self, source, neighbors):
+        self.batches.append(self.provider(source, neighbors))
+
+
+class TestPassDriver:
+    def test_resumed_pass_does_not_rerun_begin_pass(self):
+        algo = CallRecorder(passes=1)
+        driver = PassDriver(algo, SpaceMeter())
+        driver.begin_pass(0, resumed_lists=3)
+        driver.feed_list(5, [6])
+        driver.end_pass()
+        assert algo.events == [
+            ("begin_list", 5), ("pair", 5, 6), ("end_list", 5, (6,)), ("end_pass", 0)
+        ]
+        assert driver.lists_done == 4 and not driver.in_pass
+
+    def test_only_uint64_columns_reach_the_algorithm(self):
+        algo = ColumnProbe()
+        driver = PassDriver(algo, column_provider=lambda vertex, neighbors: "converted")
+        driver.begin_pass(0)
+        column = np.array([2, 3], dtype=np.uint64)
+        driver.feed_list(1, [2, 3], column)
+        driver.feed_list(4, ["a", -1], np.array(["a", -1], dtype=object))
+        driver.feed_list(5, [6])
+        assert algo.batches[0] is column
+        assert algo.batches[1:] == ["converted", "converted"]
+
+    def test_without_a_meter_space_is_never_polled(self):
+        class Unpollable(CallRecorder):
+            def space_words(self):
+                raise AssertionError("polled")
+
+        driver = PassDriver(Unpollable(passes=1))
+        driver.begin_pass(0)
+        driver.feed_list(1, [2])
+        driver.end_pass()
+        assert driver.pairs_done == 1
 
 
 class TestSpacePollInterval:
