@@ -64,8 +64,10 @@ from repro.sketch.state import SketchState, SketchStateError
 PROTOCOL_VERSION = 2
 
 #: Session-snapshot container identity (see ``session.py`` for the payload).
+#: Version 2 carries the validator's reverse-pair fingerprint; version 1
+#: carried its directed-pair set and still restores (the set is folded).
 SESSION_STATE_KIND = "serve-session"
-SESSION_STATE_VERSION = 1
+SESSION_STATE_VERSION = 2
 
 #: Default cap on one encoded request line (backpressure: a client cannot
 #: buffer an unbounded chunk server-side; asyncio's reader enforces it).

@@ -488,9 +488,12 @@ class ServeSession:
         The restored session continues bit-exactly: same algorithm state,
         same validator bookkeeping, same half-open list, same position.
         """
-        state.require(SESSION_STATE_KIND, SESSION_STATE_VERSION)
         payload = state.payload
         try:
+            # Version 1 differs only in the validator state, which
+            # load_state_dict reads in either form.
+            readable = 1 if state.version == 1 else SESSION_STATE_VERSION
+            state.require(SESSION_STATE_KIND, readable)
             spec = get_spec(str(payload["spec"]))
             algorithm_state = _unnest_state(payload["algorithm"])
             from repro.sketch.driver import restore_algorithm
